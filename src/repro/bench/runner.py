@@ -662,9 +662,10 @@ def _walk_spans(roots, name: str):
 def _stage_obs_distributed(scale: ExperimentScale, seed: int) -> Dict[str, float]:
     """Distributed telemetry: worker payload capture + merge, cost and shape.
 
-    Runs the same sharded linkage workload (``workers=1, num_shards=4`` — the
-    in-process configuration, so worker spans nest sequentially inside the
-    driver's ``sharded.score`` span) with telemetry off and on, interleaved
+    Runs the same parallel linkage workload (``workers=1`` — the in-process
+    configuration, so worker spans nest sequentially inside the parent's
+    ``sharded.score`` span — with a 128-pair ``scoring_chunk_size``, so the
+    smoke corpus makes several chunk tasks) with telemetry off and on, interleaved
     over several rounds with each state keeping its best wall-clock.
     ``merge_overhead_ratio`` is best-enabled over best-disabled seconds;
     :func:`find_regressions` gates it against a stage-specific 1.20x ceiling
@@ -672,18 +673,19 @@ def _stage_obs_distributed(scale: ExperimentScale, seed: int) -> Dict[str, float
     sharded run lasts tens of milliseconds, so the fixed per-run cost of
     worker capture + payload merge (a millisecond or two, amortised away at
     real corpus sizes) plus shared-box noise would flake a 5% gate, while a
-    real regression (say, capturing per pair instead of per shard) lands far
+    real regression (say, capturing per pair instead of per task) lands far
     above 1.20x.
 
     Shape invariants from the last enabled run (all ``_parity`` extras, so
     the gate demands exactly 1.0):
 
-    * ``worker_span_parity`` — one ``sharded.worker`` span per non-empty
-      shard, each carrying a ``shard`` attribute and re-rooted under the
-      driver's single ``sharded.score`` span;
+    * ``worker_span_parity`` — one ``sharded.worker`` span per chunk task,
+      each carrying a ``shard`` (task index) attribute and re-rooted under
+      the parent's single ``sharded.score`` span;
     * ``shard_seconds_once_parity`` — ``pipeline_sharded_shard_seconds`` has
-      exactly one observation per shard per phase (the workers are the single
-      observation site — a driver-side re-observe would double it);
+      exactly one ``phase="score"`` observation per task and no other phase
+      (the tasks are the single observation site — a parent-side re-observe
+      would double it);
     * ``worker_span_fork_parity`` — the same span accounting holds for a
       forked 4-worker run (trivially 1.0 where fork is unavailable).
 
@@ -696,9 +698,10 @@ def _stage_obs_distributed(scale: ExperimentScale, seed: int) -> Dict[str, float
     from .. import obs
     from ..core.variants import create_variant
     from ..infer.predictor import BatchedPredictor
-    from ..pipeline import ShardConfig, ShardedPipeline
+    from ..pipeline import PipelineConfig, ShardConfig, ShardedPipeline
 
     fork_available = ShardedPipeline.fork_available
+    config = PipelineConfig(scoring_chunk_size=128)
     corpus = build_corpus("music3k", "artist", scale=scale, seed=seed)
     scenario = build_scenario("music3k", "artist", mode="overlapping",
                               scale=scale, seed=seed)
@@ -706,8 +709,8 @@ def _stage_obs_distributed(scale: ExperimentScale, seed: int) -> Dict[str, float
     model.fit(scenario)
     predictor = BatchedPredictor.from_trainer(model)
     records = list(corpus.records)
-    pipeline = ShardedPipeline(predictor,
-                               shards=ShardConfig(workers=1, num_shards=4))
+    pipeline = ShardedPipeline(predictor, config=config,
+                               shards=ShardConfig(workers=1))
 
     # One sharded run at smoke scale lasts tens of milliseconds, well inside
     # the scheduling noise of a shared box.  Noise is one-sided (a run only
@@ -732,7 +735,7 @@ def _stage_obs_distributed(scale: ExperimentScale, seed: int) -> Dict[str, float
     # observation counts are per-run quantities.
     with obs.telemetry() as session:
         result = pipeline.run(list(records))
-    expected = len(result.shard_report.shard_emit_seconds)
+    expected = len(result.shard_report.shard_candidates)
 
     roots = session.collector.roots()
     workers = _walk_spans(roots, "sharded.worker")
@@ -747,18 +750,17 @@ def _stage_obs_distributed(scale: ExperimentScale, seed: int) -> Dict[str, float
     phase_counts = {entry["labels"].get("phase"): entry.get("count")
                     for entry in session.registry.snapshot()
                     if entry["name"] == "pipeline_sharded_shard_seconds"}
-    once_ok = (phase_counts.get("emit") == expected
-               and phase_counts.get("score") == expected)
+    once_ok = phase_counts == {"score": expected}
 
     fork_ok = True
     if fork_available():
-        forked_pipeline = ShardedPipeline(predictor, shards=ShardConfig(workers=4,
-                                                                        num_shards=4))
+        forked_pipeline = ShardedPipeline(predictor, config=config,
+                                          shards=ShardConfig(workers=4))
         with obs.telemetry() as fork_session:
             forked = forked_pipeline.run(list(records))
         fork_roots = fork_session.collector.roots()
         fork_workers = _walk_spans(fork_roots, "sharded.worker")
-        fork_expected = len(forked.shard_report.shard_emit_seconds)
+        fork_expected = len(forked.shard_report.shard_candidates)
         fork_ok = (len(fork_workers) == fork_expected
                    and all(span.attributes.get("shard") is not None
                            for span in fork_workers))
@@ -804,18 +806,19 @@ def _stage_pipeline_end_to_end(scale: ExperimentScale, seed: int) -> Dict[str, f
     }
 
 
-def _stage_pipeline_sharded_1m(scale: ExperimentScale, seed: int) -> Dict[str, float]:
-    """Sharded vs single-process linkage on the Music-1M weak-label corpus.
+def _stage_pipeline_parallel(scale: ExperimentScale, seed: int) -> Dict[str, float]:
+    """Parallel vs single-process linkage on the Music-1M weak-label corpus.
 
     Trains one model, then links the same corpus three ways: the
-    single-process :class:`~repro.pipeline.LinkagePipeline`, a
-    ``ShardedPipeline`` with one worker (the bit-exact configuration), and a
-    ``ShardedPipeline`` with 4 workers.  Reports wall-clock for each, the
-    4-worker speedup over 1 worker, and two parity flags the ``--check``
-    gate enforces as exact invariants:
+    single-process :class:`~repro.pipeline.LinkagePipeline`, and a
+    ``ShardedPipeline`` with 1 and with 4 workers.  A 128-pair
+    ``scoring_chunk_size`` gives the workers several chunk tasks even at
+    smoke scale.  Reports wall-clock for each, the 4-worker speedup over 1
+    worker, and two parity flags the ``--check`` gate enforces as exact
+    invariants:
 
     * ``sharded_parity`` — 4-worker clusters identical to the batch run;
-    * ``sharded_bitwise_parity`` — 1-worker scores bit-equal to batch.
+    * ``sharded_bitwise_parity`` — 1- and 4-worker scores bit-equal to batch.
 
     ``cpu_count`` is recorded alongside: the ≥3× speedup floor in
     :func:`find_regressions` only applies when the machine actually has 4
@@ -824,7 +827,8 @@ def _stage_pipeline_sharded_1m(scale: ExperimentScale, seed: int) -> Dict[str, f
     """
     from ..core.variants import create_variant
     from ..infer.predictor import BatchedPredictor
-    from ..pipeline import LinkagePipeline, ShardConfig, ShardedPipeline
+    from ..pipeline import (LinkagePipeline, PipelineConfig, ShardConfig,
+                            ShardedPipeline)
 
     corpus = build_corpus("music1m", "artist", scale=scale, seed=seed)
     scenario = build_scenario("music1m", "artist", mode="overlapping",
@@ -833,38 +837,34 @@ def _stage_pipeline_sharded_1m(scale: ExperimentScale, seed: int) -> Dict[str, f
     model.fit(scenario)
     predictor = BatchedPredictor.from_trainer(model)
     records = list(corpus.records)
+    config = PipelineConfig(scoring_chunk_size=128)
 
     start = time.perf_counter()
-    batch = LinkagePipeline(predictor).run(list(records))
+    batch = LinkagePipeline(predictor, config=config).run(list(records))
     batch_seconds = time.perf_counter() - start
 
-    start = time.perf_counter()
-    one = ShardedPipeline(predictor,
-                          shards=ShardConfig(workers=1, num_shards=1)).run(list(records))
-    one_worker_seconds = time.perf_counter() - start
+    runs, seconds = {}, {}
+    for workers in (1, 4):
+        start = time.perf_counter()
+        runs[workers] = ShardedPipeline(predictor, config=config,
+                                        shards=ShardConfig(workers=workers)).run(list(records))
+        seconds[workers] = time.perf_counter() - start
 
-    start = time.perf_counter()
-    four = ShardedPipeline(predictor, shards=ShardConfig(workers=4)).run(list(records))
-    four_worker_seconds = time.perf_counter() - start
-
-    report = four.shard_report
     return {
         "num_records": float(len(records)),
         "num_candidates": float(len(batch.scored.pairs)),
+        "num_tasks": float(len(runs[4].shard_report.shard_candidates)),
         "cpu_count": float(os.cpu_count() or 1),
         "batch_seconds": batch_seconds,
-        "sharded_1w_seconds": one_worker_seconds,
-        "sharded_4w_seconds": four_worker_seconds,
-        "speedup_4w": one_worker_seconds / max(four_worker_seconds, 1e-9),
-        "sharded_parity": float(four.clusters.clusters == batch.clusters.clusters),
-        "sharded_bitwise_parity": float(
-            np.array_equal(one.scored.scores, batch.scored.scores)
-            and one.clusters.clusters == batch.clusters.clusters),
-        "used_processes": float(report.used_processes),
-        "hot_buckets_split": float(report.hot_buckets_split),
-        "duplicate_scored_pairs": float(report.duplicate_scored_pairs),
-        "shard_load_gini_hashed": report.gini_hashed,
-        "shard_load_gini_balanced": report.gini_balanced,
+        "sharded_1w_seconds": seconds[1],
+        "sharded_4w_seconds": seconds[4],
+        "speedup_4w": seconds[1] / max(seconds[4], 1e-9),
+        "sharded_parity": float(runs[4].clusters.clusters == batch.clusters.clusters),
+        "sharded_bitwise_parity": float(all(
+            np.array_equal(run.scored.scores, batch.scored.scores)
+            and run.clusters.clusters == batch.clusters.clusters
+            for run in runs.values())),
+        "used_processes": float(runs[4].shard_report.used_processes),
     }
 
 
@@ -887,8 +887,8 @@ STAGES: Tuple[BenchStage, ...] = (
                _stage_train_epoch),
     BenchStage("pipeline_end_to_end", "end-to-end linkage engine (Music-3K)",
                _stage_pipeline_end_to_end),
-    BenchStage("pipeline_sharded_1m", "sharded linkage engine (Music-1M)",
-               _stage_pipeline_sharded_1m),
+    BenchStage("pipeline_parallel", "parallel linkage engine (Music-1M)",
+               _stage_pipeline_parallel),
     BenchStage("serve_online", "online linkage service latency (Music-3K)",
                _stage_serve_online),
     BenchStage("serve_degraded", "serving availability under a scoring outage",
@@ -1024,7 +1024,7 @@ def find_regressions(current: Dict, baseline: Dict, tolerance: float = 0.25,
     machine-ratio relaxation applies.  The stage name is returned so the
     ``--check`` retry loop re-times an over-budget ratio before failing.
 
-    Extras ending in ``_parity`` are exact correctness invariants (sharded
+    Extras ending in ``_parity`` are exact correctness invariants (parallel
     output equals single-process, streamed equals batch): the current run's
     value must be exactly 1.0 — these are deterministic, so no re-run and no
     headroom.  The ``obs_distributed`` stage additionally gates its
@@ -1036,7 +1036,7 @@ def find_regressions(current: Dict, baseline: Dict, tolerance: float = 0.25,
     the generic 5% rule (the smoke-scale sharded run is tens of
     milliseconds, so the fixed capture + merge cost would flake a 5% gate;
     see :func:`_stage_obs_distributed`).
-    The ``pipeline_sharded_1m`` stage additionally gates its
+    The ``pipeline_parallel`` stage additionally gates its
     4-worker ``speedup_4w`` against a ≥3× floor, but only when the current
     machine reports at least 4 CPUs (``cpu_count``); parity always applies,
     parallel speedup only where parallelism physically exists.
@@ -1102,7 +1102,7 @@ def find_regressions(current: Dict, baseline: Dict, tolerance: float = 0.25,
                     f"is tens of milliseconds — a real regression such as "
                     f"per-pair capture lands far above it)"
                 ))
-        if name == "pipeline_sharded_1m":
+        if name == "pipeline_parallel":
             speedup = cur_entry.get("speedup_4w")
             cpus = float(cur_entry.get("cpu_count", 1.0))
             if speedup is not None and cpus >= 4 and float(speedup) < 3.0:

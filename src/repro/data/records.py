@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-__all__ = ["Record", "EntityPair", "MISSING_VALUE"]
+__all__ = ["Record", "EntityPair", "MISSING_VALUE", "is_repeat"]
 
 MISSING_VALUE = ""
 
@@ -89,6 +89,25 @@ class Record:
             entity_id=payload.get("entity_id"),  # type: ignore[arg-type]
             entity_type=payload.get("entity_type"),  # type: ignore[arg-type]
         )
+
+
+def is_repeat(first: Optional[Record], record: Record) -> bool:
+    """The ingest rule every linkage engine shares for repeated record ids.
+
+    ``first`` is the record already ingested under ``record.record_id`` (or
+    ``None``).  Returns ``False`` for a new id, ``True`` for a repeat with
+    the same source and attributes (the caller ignores it and keeps the
+    first), and raises :class:`ValueError` for a repeat whose content
+    differs: records are append-only, so an updated version needs a new id.
+    """
+    if first is None:
+        return False
+    if (first.source == record.source
+            and dict(first.attributes) == dict(record.attributes)):
+        return True
+    raise ValueError(
+        f"record {record.record_id!r} already exists with different content; "
+        f"records are append-only — use a new record id for updated versions")
 
 
 @dataclass(frozen=True)

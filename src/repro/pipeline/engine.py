@@ -6,7 +6,9 @@ into a :class:`PipelineResult` that can be written to disk as JSONL/JSON.
 
 Records are ingested from any iterable in bounded chunks, so the streaming
 readers of :mod:`repro.data.storage` plug in directly and the blocking
-indexes never require the pair space — only the records — in memory.
+indexes never require the pair space — only the records — in memory.  A
+repeated record id follows the shared :func:`~repro.data.records.is_repeat`
+rule: the same content again is ignored, different content raises.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 import numpy as np
 
 from .. import obs
-from ..data.records import Record
+from ..data.records import EntityPair, Record, is_repeat
 from ..infer.predictor import BatchedPredictor
 from ..utils.serialization import save_json
 from .candidates import CandidateGenerationStage, CandidateResult
@@ -148,6 +150,9 @@ class LinkagePipeline:
         Stage tuning knobs; see :class:`PipelineConfig`.
     """
 
+    #: Name of the root span of one run (subclasses rename it).
+    run_span = "pipeline.run"
+
     def __init__(self, predictor: BatchedPredictor,
                  config: Optional[PipelineConfig] = None) -> None:
         self.predictor = predictor
@@ -168,15 +173,19 @@ class LinkagePipeline:
             seed=config.seed,
         )
 
-        with obs.trace("pipeline.run") as run_span:
+        with obs.trace(self.run_span) as run_span:
             # Ingest + block: pull bounded chunks off the stream, index each.
             iterator = iter(records)
+            seen: Dict[str, Record] = {}
             chunk_index = 0
             while True:
                 start = time.perf_counter()
                 with obs.trace("ingest", chunk=chunk_index):
                     chunk: List[Record] = []
                     for record in iterator:
+                        if is_repeat(seen.get(record.record_id), record):
+                            continue
+                        seen[record.record_id] = record
                         chunk.append(record)
                         if len(chunk) >= config.ingest_chunk_size:
                             break
@@ -194,10 +203,9 @@ class LinkagePipeline:
                 candidates = stage.generate()
             seconds["pair"] = time.perf_counter() - start
 
-            scoring = ScoringStage(self.predictor, chunk_size=config.scoring_chunk_size)
             start = time.perf_counter()
             with obs.trace("score", pairs=len(candidates.pairs)):
-                scored = scoring.run(candidates.pairs)
+                scored = self._score(candidates.pairs)
             seconds["score"] = time.perf_counter() - start
             if len(scored):
                 scored.stats["pairs_per_second"] = len(scored) / max(seconds["score"], 1e-9)
@@ -219,6 +227,11 @@ class LinkagePipeline:
         if obs.enabled():
             self._record_run_metrics(result, stage)
         return result
+
+    def _score(self, pairs: List[EntityPair]) -> ScoredCandidates:
+        """The score stage (the one step a parallel subclass replaces)."""
+        scoring = ScoringStage(self.predictor, chunk_size=self.config.scoring_chunk_size)
+        return scoring.run(pairs)
 
     def _record_run_metrics(self, result: PipelineResult,
                             stage: CandidateGenerationStage) -> None:

@@ -81,8 +81,7 @@ PARTIAL_KEY = "fault_partial"
 #: The catalog of instrumented sites (documentation + docs/resilience.md
 #: source of truth; ``check`` accepts any name so tests can add ad-hoc ones).
 SITES: Dict[str, str] = {
-    "sharded.sketch": "Phase A worker task entry (per record slice)",
-    "sharded.score": "Phase B worker task entry (per shard)",
+    "sharded.score": "ShardedPipeline chunk task entry (per scoring chunk)",
     "scoring.batch": "ScoringStage chunk boundary (per scoring micro-batch)",
     "serve.score": "LinkageService scoring call, ahead of the coalescer",
     "storage.wal_append": "WAL append about to run (raise => append I/O error)",

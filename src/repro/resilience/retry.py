@@ -1,6 +1,6 @@
 """Bounded retry with backoff for deterministic tasks, pooled or inline.
 
-The sharded pipeline's Phase A/B tasks are pure functions of forked state —
+The sharded pipeline's chunk tasks are pure functions of forked state —
 re-executing one is always safe — so fault tolerance reduces to *when* to
 re-execute and *where*.  :class:`TaskExecutor` owns that decision for one
 run:
@@ -105,8 +105,7 @@ class FaultReport:
     ``retries`` counts re-executions after a failure; ``wall_seconds_lost``
     is the wall-clock spent on rounds that had to be partly redone.
     ``quarantined`` lists the labels of tasks that exhausted their pool
-    attempts and ran in-process — the shards a scheduler should stop
-    routing to.
+    attempts and ran in-process.
     """
 
     attempts: int = 0
@@ -175,7 +174,7 @@ class TaskExecutor:
 
         Raises the final error of any task that exhausted every attempt
         (including the in-process fallback, when enabled) — partial success
-        is not an output mode, because the sharded merge needs every shard.
+        is not an output mode, because the caller joins every task's result.
         """
         if labels is None:
             labels = [f"task-{index}" for index in range(len(items))]

@@ -264,6 +264,26 @@ class TestPerfGate:
         assert problems[0][0] is None  # deterministic: not retryable
         assert flag in problems[0][1]
 
+    @staticmethod
+    def parallel_payload(speedup=3.5, cpus=4.0, parity=1.0):
+        return {"scale": "smoke",
+                "stages": {"pipeline_parallel": {
+                    "seconds": 1.0, "speedup_4w": speedup, "cpu_count": cpus,
+                    "sharded_parity": parity, "sharded_bitwise_parity": parity}}}
+
+    def test_pipeline_parallel_speedup_floor_applies_on_four_cpus(self):
+        baseline = self.parallel_payload()
+        assert find_regressions(self.parallel_payload(), baseline) == []
+        problems = find_regressions(self.parallel_payload(speedup=2.0), baseline)
+        assert [name for name, _ in problems] == ["pipeline_parallel"]
+        assert "3.0x" in problems[0][1]
+        # Below 4 CPUs there is no parallelism to demand; parity still gates.
+        assert find_regressions(self.parallel_payload(speedup=0.5, cpus=2.0),
+                                baseline) == []
+        problems = find_regressions(
+            self.parallel_payload(speedup=0.5, cpus=2.0, parity=0.0), baseline)
+        assert len(problems) == 2 and all(name is None for name, _ in problems)
+
     def test_obs_distributed_missing_keys_reported(self):
         current = {"scale": "smoke",
                    "stages": {"obs_distributed": {"seconds": 1.5}}}

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import AdaMELHybrid
 from repro.infer import BatchedPredictor
-from repro.pipeline import ShardConfig, ShardedPipeline
+from repro.pipeline import PipelineConfig, ShardConfig, ShardedPipeline
 from repro.resilience import faults
 from repro.resilience.faults import FaultInjected, FaultSpec
 from repro.resilience.retry import RetryPolicy
@@ -39,9 +39,10 @@ def _pair_keys(result):
 
 def _run(predictor, records, **config):
     config.setdefault("workers", 1)
-    config.setdefault("num_shards", 2)
+    # Several chunk tasks, so faults can target more than one.
     return ShardedPipeline(
-        predictor, shards=ShardConfig(**config)).run(list(records))
+        predictor, config=PipelineConfig(scoring_chunk_size=64),
+        shards=ShardConfig(**config)).run(list(records))
 
 
 class TestSequentialFaultParity:
@@ -50,8 +51,8 @@ class TestSequentialFaultParity:
         records = list(tiny_music_corpus.records)
         baseline = _run(predictor, records)
         specs = [
-            FaultSpec(site="sharded.sketch", kind="raise"),  # first hit only
-            FaultSpec(site="sharded.score", kind="raise"),
+            FaultSpec(site="sharded.score", kind="raise"),  # first hit only
+            FaultSpec(site="sharded.score", kind="raise", match={"shard": 2}),
         ]
         with faults.plan_scope(specs):
             faulty = _run(predictor, records)
@@ -68,8 +69,9 @@ class TestSequentialFaultParity:
             self, predictor, tiny_music_corpus):
         records = list(tiny_music_corpus.records)
         baseline = _run(predictor, records)
-        specs = [FaultSpec(site="sharded.sketch", kind="partial"),
-                 FaultSpec(site="sharded.score", kind="partial")]
+        specs = [FaultSpec(site="sharded.score", kind="partial"),
+                 FaultSpec(site="sharded.score", kind="partial",
+                           match={"shard": 2})]
         with faults.plan_scope(specs):
             faulty = _run(predictor, records)
         assert _pair_keys(faulty) == _pair_keys(baseline)
@@ -83,9 +85,9 @@ class TestSequentialFaultParity:
         baseline = _run(predictor, records)
         retry = RetryPolicy(max_attempts=2, base_delay=0.0, max_delay=0.0,
                             jitter=0.0)
-        # Fails both regular attempts of the first sketch task; the
+        # Fails both regular attempts of the first chunk task; the
         # in-process fallback (the 3rd call) succeeds.
-        specs = [FaultSpec(site="sharded.sketch", kind="raise", every=1,
+        specs = [FaultSpec(site="sharded.score", kind="raise", every=1,
                            max_triggers=2)]
         with faults.plan_scope(specs):
             faulty = _run(predictor, records, retry=retry)
@@ -93,7 +95,7 @@ class TestSequentialFaultParity:
         report = faulty.shard_report.fault_report
         assert report.fallbacks == 1
         assert len(report.quarantined) == 1
-        assert report.quarantined[0].startswith("sketch-")
+        assert report.quarantined == ["chunk-0"]
 
     def test_persistent_fault_without_fallback_surfaces_the_error(
             self, predictor, tiny_music_corpus):

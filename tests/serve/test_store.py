@@ -60,6 +60,23 @@ class TestBatchParity:
             predictor, config=config.to_pipeline_config()).run(tiny_music_corpus.records)
         assert store.clusters() == batch.clusters.clusters
 
+    def test_repeated_record_ids_follow_the_batch_ingest_rule(
+            self, predictor, tiny_music_corpus):
+        # Exact repeats are ignored by both engines; edits raise in both.
+        records = list(tiny_music_corpus.records)
+        stream = records + records[:8]
+        store = EntityStore(score_fn=predictor.predict_proba)
+        for record in stream:
+            store.upsert(record)
+        assert len(store) == len(records)
+        assert store.clusters() == LinkagePipeline(predictor).run(stream).clusters.clusters
+        changed = Record(record_id=records[0].record_id, source=records[0].source,
+                         attributes={**dict(records[0].attributes), "name": "someone else"})
+        with pytest.raises(ValueError, match="append-only"):
+            store.upsert(changed)
+        with pytest.raises(ValueError, match="append-only"):
+            LinkagePipeline(predictor).run(records + [changed])
+
     def test_every_record_in_exactly_one_entity(self, streamed_store, tiny_music_corpus):
         clustered = [record_id for members in streamed_store.clusters()
                      for record_id in members]
