@@ -49,36 +49,91 @@ def _walk(spans, name):
     return found
 
 
+def _run_both(predictor, records, workers, monkeypatch=None):
+    """Run the batch engine and the parallel one on the same input."""
+    if monkeypatch is not None:
+        monkeypatch.setattr(ShardedPipeline, "fork_available",
+                            staticmethod(lambda: False))
+    batch = LinkagePipeline(predictor, config=CONFIG).run(list(records))
+    sharded = ShardedPipeline(predictor, config=CONFIG,
+                              shards=ShardConfig(workers=workers)).run(list(records))
+    return batch, sharded
+
+
+def _assert_matches_batch(sharded, batch):
+    assert _pair_keys(sharded) == _pair_keys(batch)
+    assert np.array_equal(sharded.scored.scores, batch.scored.scores)
+    assert sharded.clusters.clusters == batch.clusters.clusters
+    assert sharded.clusters.assignments == batch.clusters.assignments
+    assert sharded.index_stats == batch.index_stats
+    assert sharded.candidates.stats == batch.candidates.stats
+    report = sharded.shard_report
+    assert len(report.shard_candidates) > 1
+    assert sum(report.shard_candidates) == len(batch.scored.pairs)
+    assert all(size == CONFIG.scoring_chunk_size
+               for size in report.shard_candidates[:-1])
+
+
+class TestSingleWorkerParity:
+    """ShardedPipeline(workers=1) must be bit-identical to the batch engine."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_identical_on_shuffled_inputs(self, predictor, tiny_music_corpus,
+                                              seed):
+        records = list(tiny_music_corpus.records)
+        random.Random(seed).shuffle(records)
+        batch, sharded = _run_both(predictor, records, workers=1)
+        _assert_matches_batch(sharded, batch)
+        assert not sharded.shard_report.used_processes
+
+    def test_pair_stats_match_batch_core_keys(self, predictor, tiny_music_corpus):
+        batch, sharded = _run_both(predictor, tiny_music_corpus.records, workers=1)
+        for key in ("num_records", "num_candidates", "possible_pairs",
+                    "reduction_ratio", "pair_reduction_factor", "recall",
+                    "num_true_pairs"):
+            assert sharded.candidates.stats[key] == batch.candidates.stats[key]
+
+
+class TestMultiShardParity:
+    """Any worker count, scoring inline, reproduces the batch engine."""
+
+    @pytest.mark.parametrize("workers", [2, 4, 7])
+    def test_in_process_shards_match_batch(self, predictor, tiny_music_corpus,
+                                           monkeypatch, workers):
+        records = list(tiny_music_corpus.records)
+        random.Random(workers).shuffle(records)
+        batch, sharded = _run_both(predictor, records, workers, monkeypatch)
+        _assert_matches_batch(sharded, batch)
+        assert sharded.shard_report.workers == workers
+        assert not sharded.shard_report.used_processes
+
+    def test_sharded_run_is_deterministic(self, predictor, tiny_music_corpus):
+        records = list(tiny_music_corpus.records)
+        config = ShardConfig(workers=3)
+        first = ShardedPipeline(predictor, config=CONFIG,
+                                shards=config).run(list(records))
+        second = ShardedPipeline(predictor, config=CONFIG,
+                                 shards=config).run(list(records))
+        assert np.array_equal(first.scored.scores, second.scored.scores)
+        assert first.clusters.clusters == second.clusters.clusters
+        assert first.shard_report.shard_candidates == \
+            second.shard_report.shard_candidates
+
+
 class TestParity:
-    """Every worker count, inline or forked, reproduces the batch engine."""
+    """Scoring on a forked pool reproduces the batch engine."""
 
     @pytest.mark.parametrize("mode,workers", [
-        ("inline", 1), ("inline", 2), ("inline", 4),
         pytest.param("forked", 2, marks=needs_fork),
         pytest.param("forked", 4, marks=needs_fork),
     ])
     def test_matches_linkage_pipeline(self, predictor, tiny_music_corpus,
-                                      monkeypatch, mode, workers):
+                                      mode, workers):
         records = list(tiny_music_corpus.records)
         random.Random(workers).shuffle(records)
-        if mode == "inline":
-            monkeypatch.setattr(ShardedPipeline, "fork_available",
-                                staticmethod(lambda: False))
-        batch = LinkagePipeline(predictor, config=CONFIG).run(list(records))
-        sharded = ShardedPipeline(predictor, config=CONFIG,
-                                  shards=ShardConfig(workers=workers)).run(list(records))
-        assert _pair_keys(sharded) == _pair_keys(batch)
-        assert np.array_equal(sharded.scored.scores, batch.scored.scores)
-        assert sharded.clusters.clusters == batch.clusters.clusters
-        assert sharded.clusters.assignments == batch.clusters.assignments
-        assert sharded.index_stats == batch.index_stats
-        assert sharded.candidates.stats == batch.candidates.stats
-        report = sharded.shard_report
-        assert report.used_processes == (mode == "forked")
-        assert len(report.shard_candidates) > 1
-        assert sum(report.shard_candidates) == len(batch.scored.pairs)
-        assert all(size == CONFIG.scoring_chunk_size
-                   for size in report.shard_candidates[:-1])
+        batch, sharded = _run_both(predictor, records, workers)
+        _assert_matches_batch(sharded, batch)
+        assert sharded.shard_report.used_processes
 
 
 class TestRepeatedRecordIds:
