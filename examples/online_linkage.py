@@ -30,8 +30,9 @@ from repro.data.generators import MUSIC_SEEN_SOURCES, MusicCorpusGenerator, Musi
 from repro.data.records import Record
 from repro.infer import BatchedPredictor
 from repro.pipeline import LinkagePipeline
-from repro.serve import (EntityStore, LinkageService, ServiceConfig, StoreConfig,
-                         replay_queries, replay_upserts)
+from repro.serve import (LinkageService, ServiceConfig, StoreConfig, replay_queries,
+                         replay_upserts)
+from repro.storage.snapshots import SnapshotManager, load_store_snapshot
 
 
 def main() -> None:
@@ -98,8 +99,8 @@ def main() -> None:
         # 3b. Snapshot -> restore is bit-exact, no model needed to load.
         # -------------------------------------------------------------- #
         with tempfile.TemporaryDirectory() as tmp:
-            snapshot_dir = service.snapshot(Path(tmp) / "store")
-            restored = EntityStore.restore(snapshot_dir)
+            snapshot_file = service.snapshot(Path(tmp) / "store")
+            _, restored = load_store_snapshot(SnapshotManager(snapshot_file.parent))
             assert restored.clusters() == service.store.clusters()
             print(f"\nSnapshot/restore round-trip: {len(restored.clusters())} "
                   f"clusters restored bit-exactly (read-only until a model is bound).")

@@ -1,15 +1,6 @@
-"""Data substrate: records, schemas, domains, sampling, blocking, storage."""
+"""Data substrate: records, schemas, domains, sampling, splits, storage."""
 
 from . import generators
-from .blocking import (
-    AttributeEqualityBlocker,
-    BlockingStats,
-    CandidateGenerator,
-    CandidateSet,
-    TokenBlocker,
-    ground_truth_pairs,
-    possible_cross_source_pairs,
-)
 from .domain import MELScenario, PairCollection, SourceDomain, SupportSet, TargetDomain
 from .records import MISSING_VALUE, EntityPair, Record
 from .sampling import BatchSampler, negative_pairs_from_records, sample_balanced, sample_support_set
@@ -45,13 +36,6 @@ __all__ = [
     "sample_balanced",
     "sample_support_set",
     "negative_pairs_from_records",
-    "TokenBlocker",
-    "AttributeEqualityBlocker",
-    "BlockingStats",
-    "CandidateGenerator",
-    "CandidateSet",
-    "ground_truth_pairs",
-    "possible_cross_source_pairs",
     "train_test_split",
     "stratified_split",
     "split_by_sources",

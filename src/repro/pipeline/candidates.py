@@ -10,17 +10,44 @@ the pair-reduction ratio against full cross-source enumeration).
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-# Ground-truth helpers live in the data layer (shared with the blockers);
-# re-exported here because they are part of this stage's reporting API.
-from ..data.blocking import ground_truth_pairs, possible_cross_source_pairs
 from ..data.records import EntityPair, Record
 from .index import build_blocking_indexes
 
 __all__ = ["CandidateGenerationStage", "CandidateResult", "ground_truth_pairs",
            "possible_cross_source_pairs"]
+
+
+def ground_truth_pairs(records: Sequence[Record],
+                       cross_source_only: bool = True) -> Set[Tuple[str, str]]:
+    """True matching record-id pairs derived from ``entity_id`` ground truth."""
+    by_entity: Dict[str, List[Record]] = defaultdict(list)
+    for record in records:
+        if record.entity_id is not None:
+            by_entity[record.entity_id].append(record)
+    truth: Set[Tuple[str, str]] = set()
+    for group in by_entity.values():
+        for left, right in combinations(group, 2):
+            if cross_source_only and left.source == right.source:
+                continue
+            key = (left.record_id, right.record_id)
+            truth.add(key if key[0] <= key[1] else (key[1], key[0]))
+    return truth
+
+
+def possible_cross_source_pairs(records: Sequence[Record],
+                                cross_source_only: bool = True) -> int:
+    """How many record pairs full enumeration would compare."""
+    total = len(records) * (len(records) - 1) // 2
+    if not cross_source_only:
+        return total
+    per_source = Counter(record.source for record in records)
+    within = sum(count * (count - 1) // 2 for count in per_source.values())
+    return total - within
 
 
 @dataclass

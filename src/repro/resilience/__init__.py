@@ -5,7 +5,7 @@ The fault-tolerance layer the rest of the system plugs into (see
 
 * :mod:`repro.resilience.faults` — a cross-subsystem fault-injection
   registry (named sites, raise/delay/kill/partial kinds, env or in-process
-  arming); ``repro.storage.crashpoints`` is a thin shim over it;
+  arming), including the storage engine's crash points;
 * :mod:`repro.resilience.retry` — :class:`RetryPolicy` (bounded attempts,
   exponential backoff, deterministic jitter, per-attempt deadlines) and
   :class:`TaskExecutor`, which the sharded pipeline uses to survive worker

@@ -6,8 +6,9 @@ package serves linkage *online*, one record or query at a time:
 * :mod:`~repro.serve.store` — :class:`EntityStore`, a persistent store of
   resolved clusters with incremental index/edge/cluster maintenance,
   ``upsert(record) -> entity_id`` / ``query(record) -> ranked entities``, and
-  snapshot/restore persistence.  Streaming upserts produce exactly the
-  clusters a batch ``LinkagePipeline.run`` would (parity is tested);
+  a state dict that :mod:`repro.storage.snapshots` persists.  Streaming
+  upserts produce exactly the clusters a batch ``LinkagePipeline.run``
+  would (parity is tested);
 * :mod:`~repro.serve.coalescer` — :class:`RequestCoalescer`, the
   latency-bounded micro-batcher: concurrent callers enqueue, one executor
   thread fuses requests and flushes on batch-size *or* deadline, with a

@@ -327,19 +327,25 @@ class LinkageService:
         return QueryResult(matches=matches, seconds=seconds, degraded=degraded)
 
     def snapshot(self, path: Optional[Union[str, Path]] = None) -> Path:
-        """Persist the store.
+        """Publish a ``snapshot-<lsn>.json`` file of the store; returns it.
 
-        With a ``path``, write a legacy directory snapshot
-        (:meth:`EntityStore.snapshot`).  Without one, the service must be
-        running over a storage engine: publish a compacted engine snapshot
-        into its data directory (:meth:`repro.storage.Storage.snapshot`).
+        Without a ``path`` the service must be running over a storage
+        engine: the snapshot goes into its data directory and the WAL is
+        pruned (:meth:`repro.storage.Storage.snapshot`).  With a ``path`` (a
+        directory), the same file format is written there with the record
+        count as its ``lsn``;
+        :func:`repro.storage.snapshots.load_store_snapshot` reads it back.
         """
         if path is None:
             if self.storage is None:
                 raise ValueError("snapshot() without a path needs a storage "
                                  "engine (LinkageService(storage=...))")
             return self.storage.snapshot()
-        return self.store.snapshot(path)
+        # Imported lazily: repro.storage imports repro.serve.store.
+        from ..storage.snapshots import SnapshotManager, publish_store_snapshot
+        frozen = self.store.freeze_state()  # under the store lock
+        return publish_store_snapshot(SnapshotManager(path), frozen,
+                                      lsn=len(frozen["records"]))
 
     # ------------------------------------------------------------------ #
     def health(self) -> Dict[str, object]:

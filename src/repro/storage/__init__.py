@@ -6,9 +6,9 @@ around an :class:`~repro.serve.EntityStore`
 (:mod:`~repro.storage.engine`), a SQLite posting-list backend for the
 blocking indexes (:mod:`~repro.storage.backends`), an advisory directory
 lock guaranteeing one live engine per data dir
-(:mod:`~repro.storage.locks`), and the injected crash points the recovery
-property tests kill processes at (:mod:`~repro.storage.crashpoints` — now
-a shim over the cross-subsystem :mod:`repro.resilience.faults` registry).
+(:mod:`~repro.storage.locks`).  The engine's ``storage.*`` fault sites
+(:mod:`repro.resilience.faults`) are where the recovery property tests kill
+processes.
 
 See ``docs/storage.md`` for the on-disk formats and the recovery
 invariants, and ``docs/resilience.md`` for the failure modes
@@ -18,7 +18,6 @@ invariants, and ``docs/resilience.md`` for the failure modes
 from __future__ import annotations
 
 from .backends import SQLiteBucketStore, SQLiteIndexBackend
-from .crashpoints import CRASH_EXIT_CODE, CRASH_POINTS, maybe_crash
 from .engine import (META_FILENAME, RecoveryReport, STORAGE_FORMAT_VERSION,
                      Storage, StorageConfig, StorageError, StorageLocked,
                      StorageReadOnly)
@@ -33,5 +32,4 @@ __all__ = [
     "WriteAheadLog", "WALAppend", "WALError",
     "SnapshotManager", "SnapshotError",
     "SQLiteIndexBackend", "SQLiteBucketStore",
-    "CRASH_POINTS", "CRASH_EXIT_CODE", "maybe_crash",
 ]

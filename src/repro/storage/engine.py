@@ -20,7 +20,9 @@ stochastic part (model scores).  The entry's retraction plan is re-checked
 during replay — a divergence means the log and the code disagree and
 recovery refuses to guess.
 
-Crash-safety contract (exercised point-by-point by ``tests/storage``):
+Crash-safety contract (exercised point-by-point by ``tests/storage``,
+which arms ``kill`` faults at the ``storage.*`` sites of
+:mod:`repro.resilience.faults`):
 the store lock is held from WAL append through in-memory commit, and the
 append is durable first — so a crash anywhere leaves the WAL holding
 exactly the committed prefix plus at most one torn entry, which open-time
@@ -44,17 +46,16 @@ from ..obs import BoundHandles
 from ..resilience import faults
 from ..resilience.faults import FaultInjected
 from ..serve.store import EntityStore, ScoreFn, StoreConfig
-from . import crashpoints
 from .errors import StorageError, StorageLocked, StorageReadOnly
 from .locks import DirectoryLock
-from .snapshots import SnapshotManager
+from .snapshots import (STORAGE_FORMAT_VERSION, SnapshotManager,
+                        load_store_snapshot, publish_store_snapshot)
 from .wal import WALError, WriteAheadLog
 
 __all__ = ["Storage", "StorageConfig", "StorageError", "StorageLocked",
            "StorageReadOnly", "RecoveryReport",
            "STORAGE_FORMAT_VERSION", "META_FILENAME"]
 
-STORAGE_FORMAT_VERSION = 1
 META_FILENAME = "storage_meta.json"
 _MAX_FSYNC_SAMPLES = 65536
 
@@ -224,8 +225,11 @@ class Storage:
                 f"storage at {self.data_dir} is read-only after a WAL "
                 f"append failure; reads still serve — reopen via "
                 f"Storage.recover() once the log is writable again")
+        last_lsn = self._wal.last_lsn
         entity_id = self._store.upsert(record)
-        crashpoints.maybe_crash("after_commit")
+        if self._wal.last_lsn != last_lsn:
+            # An ignored exact repeat wrote no WAL entry: not a commit.
+            faults.check("storage.after_commit")
         every = self.config.snapshot_every
         if every and self._wal.last_lsn - self._snapshot_lsn >= every:
             self.snapshot()
@@ -240,7 +244,7 @@ class Storage:
         untouched, and a crash after it leaves a WAL entry recovery will
         replay.
         """
-        crashpoints.maybe_crash("before_wal_append")
+        faults.check("storage.before_wal_append")
         try:
             faults.check("storage.wal_append")
             result = self._wal.append({
@@ -270,7 +274,7 @@ class Storage:
         self._fsync_samples.append(result.fsync_seconds)
         if self.fsync_listener is not None:
             self.fsync_listener(result.fsync_seconds)
-        crashpoints.maybe_crash("after_wal_append")
+        faults.check("storage.after_wal_append")
 
     def fsync_latency_samples(self) -> List[float]:
         """Recent per-append fsync latencies (seconds), oldest first."""
@@ -291,12 +295,7 @@ class Storage:
             with self._store.lock:
                 frozen = self._store.freeze_state()
                 lsn = self._wal.last_lsn
-            payload = {
-                "format_version": STORAGE_FORMAT_VERSION,
-                "lsn": lsn,
-                "store": EntityStore.serialize_state(frozen),
-            }
-            path = self._snapshots.take(payload, lsn)
+            path = publish_store_snapshot(self._snapshots, frozen, lsn)
             pruned = self._wal.prune(lsn) if self.config.prune_wal else 0
             self._snapshot_lsn = lsn
         elapsed = time.perf_counter() - started
@@ -345,10 +344,9 @@ class Storage:
         with obs.trace("storage.recover"):
             snapshots = SnapshotManager(data_dir, keep=config.snapshots_keep)
             snapshots.cleanup()
-            loaded = snapshots.load_latest()
+            loaded = load_store_snapshot(snapshots)
             if loaded is not None:
-                snapshot_lsn, payload = loaded
-                store = EntityStore.from_state_dict(payload["store"])
+                snapshot_lsn, store = loaded
             else:
                 snapshot_lsn = 0
                 meta_path = data_dir / META_FILENAME

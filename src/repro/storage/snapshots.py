@@ -6,6 +6,12 @@ entities, index bucket state) as of WAL sequence number ``lsn``.  Restore is
 therefore a deserialization, not a replay — the compaction half of the
 O(snapshot + WAL tail) recovery bound.
 
+This is the one on-disk store format: :func:`publish_store_snapshot` wraps a
+frozen store state in the ``{"format_version", "lsn", "store"}`` envelope
+and :func:`load_store_snapshot` checks the envelope and rebuilds the store.
+Both :class:`repro.storage.Storage` and ``LinkageService.snapshot(path)``
+(a service without storage, where ``lsn`` is the record count) use them.
+
 Publication protocol (crash-safe at every instruction):
 
 1. serialize to ``.snapshot-<lsn>.json.tmp`` in the same directory,
@@ -27,17 +33,24 @@ import os
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from . import crashpoints
+from ..resilience import faults
+from ..serve.store import EntityStore, ScoreFn
 
-__all__ = ["SnapshotManager", "SnapshotError", "SNAPSHOT_PREFIX"]
+__all__ = ["SnapshotManager", "SnapshotError", "SNAPSHOT_PREFIX",
+           "STORAGE_FORMAT_VERSION", "publish_store_snapshot",
+           "load_store_snapshot"]
 
+#: Version of the on-disk storage formats: the snapshot envelope and the
+#: data directory's meta file.
+STORAGE_FORMAT_VERSION = 1
 SNAPSHOT_PREFIX = "snapshot-"
 SNAPSHOT_SUFFIX = ".json"
 _TMP_SUFFIX = ".tmp"
 
 
 class SnapshotError(RuntimeError):
-    """No loadable snapshot where one was required."""
+    """A snapshot envelope that must not be loaded: an unknown format
+    version, or an ``lsn`` that differs from the one in its file name."""
 
 
 def _snapshot_name(lsn: int) -> str:
@@ -76,10 +89,10 @@ class SnapshotManager:
             handle.write(blob)
             handle.flush()
             os.fsync(handle.fileno())
-        crashpoints.maybe_crash("before_snapshot_rename")
+        faults.check("storage.before_snapshot_rename")
         os.replace(tmp, final)
         self._fsync_directory()
-        crashpoints.maybe_crash("after_snapshot_rename")
+        faults.check("storage.after_snapshot_rename")
         self._prune_old()
         return final
 
@@ -150,3 +163,39 @@ class SnapshotManager:
             except (OSError, json.JSONDecodeError):
                 continue
         return None
+
+
+def publish_store_snapshot(manager: SnapshotManager, frozen: Dict[str, object],
+                           lsn: int) -> Path:
+    """Publish a :meth:`EntityStore.freeze_state` copy as the snapshot at
+    ``lsn``.  Call it outside the store lock: serializing and the fsync'd
+    write are the slow part."""
+    return manager.take({
+        "format_version": STORAGE_FORMAT_VERSION,
+        "lsn": lsn,
+        "store": EntityStore.serialize_state(frozen),
+    }, lsn)
+
+
+def load_store_snapshot(manager: SnapshotManager,
+                        score_fn: Optional[ScoreFn] = None
+                        ) -> Optional[Tuple[int, EntityStore]]:
+    """The newest snapshot as ``(lsn, store)``, or ``None`` when there is none.
+
+    Raises :class:`SnapshotError` for an envelope of an unknown format
+    version, or one whose ``lsn`` differs from the one in its file name.
+    Without ``score_fn`` the store is read-only until
+    :meth:`EntityStore.bind_score_fn`.
+    """
+    loaded = manager.load_latest()
+    if loaded is None:
+        return None
+    lsn, payload = loaded
+    version = payload.get("format_version")
+    if version != STORAGE_FORMAT_VERSION:
+        raise SnapshotError(f"unsupported snapshot format version {version!r} "
+                            f"(supported: {STORAGE_FORMAT_VERSION})")
+    if payload.get("lsn") != lsn:
+        raise SnapshotError(f"snapshot file for lsn {lsn} holds lsn "
+                            f"{payload.get('lsn')!r}")
+    return lsn, EntityStore.from_state_dict(payload["store"], score_fn=score_fn)

@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 from zlib import crc32
 
-from . import crashpoints
+from ..resilience import faults
 
 __all__ = ["WriteAheadLog", "WALError", "WALAppend", "SEGMENT_PREFIX"]
 
@@ -215,12 +215,12 @@ class WriteAheadLog:
             blob = json.dumps(entry, sort_keys=True).encode("utf-8")
             header = _HEADER.pack(len(blob), crc32(blob))
             handle.write(header)
-            if crashpoints.armed("mid_wal_append"):
+            if faults.armed("storage.mid_wal_append"):
                 # Make the torn state real before dying: header durable,
                 # payload missing.
                 handle.flush()
                 os.fsync(handle.fileno())
-                crashpoints.maybe_crash("mid_wal_append")
+                faults.check("storage.mid_wal_append")
             handle.write(blob)
             handle.flush()
             started = time.perf_counter()

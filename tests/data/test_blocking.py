@@ -1,17 +1,11 @@
-"""Tests for the blocking front end (caps, dedupe, reusable recall stats)."""
+"""Blocking-quality statistics of the pipeline's candidate generation stage."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.data import (
-    AttributeEqualityBlocker,
-    BlockingStats,
-    CandidateGenerator,
-    CandidateSet,
-    TokenBlocker,
-)
-from repro.data.records import EntityPair, Record
+from repro.data.records import Record
+from repro.pipeline import CandidateGenerationStage, InvertedTokenIndex
 
 
 def _record(record_id, source, name, entity_id=None):
@@ -19,155 +13,52 @@ def _record(record_id, source, name, entity_id=None):
                   attributes={"name": name}, entity_id=entity_id)
 
 
-class TestAttributeEqualityBlocker:
-    def test_equal_values_pair_up(self):
-        records = [_record("a", "s1", "Neil Diamond"),
-                   _record("b", "s2", "neil  DIAMOND"),
-                   _record("c", "s3", "Neil Young")]
-        pairs = AttributeEqualityBlocker("name").candidate_pairs(records)
-        assert [(left.record_id, right.record_id) for left, right in pairs] == [("a", "b")]
+class _CountingIndex(InvertedTokenIndex):
+    """An InvertedTokenIndex that counts how often blocking actually runs."""
 
-    def test_max_block_size_caps_giant_equality_blocks(self):
-        # One degenerate value shared by everything must not emit O(n^2) pairs.
-        records = [_record(f"r{i}", f"s{i}", "the same value") for i in range(40)]
-        blocker = AttributeEqualityBlocker("name")
-        assert blocker.candidate_pairs(records, max_block_size=10) == []
-        assert len(blocker.candidate_pairs(records, max_block_size=64)) == 40 * 39 // 2
+    def __init__(self):
+        super().__init__(attributes=["name"])
+        self.calls = 0
 
-    def test_pairs_are_deduplicated_by_record_id(self):
-        records = [_record("a", "s1", "same"), _record("b", "s2", "same"),
-                   _record("a", "s1", "same")]
-        pairs = AttributeEqualityBlocker("name").candidate_pairs(records)
-        keys = [tuple(sorted((left.record_id, right.record_id))) for left, right in pairs]
-        assert len(keys) == len(set(keys))
-
-
-class TestTokenBlockerDelegation:
-    def test_degenerate_max_block_size_returns_no_pairs(self):
-        records = [_record("a", "s1", "shared token"), _record("b", "s2", "shared token")]
-        assert TokenBlocker("name").candidate_pairs(records, max_block_size=1) == []
-
-    def test_min_token_length_zero_still_works(self):
-        # Seed behavior: 0 means "keep every token" (identical to 1).
-        records = [_record("a", "s1", "x y"), _record("b", "s2", "x z")]
-        pairs = TokenBlocker("name", min_token_length=0).candidate_pairs(records)
-        assert [(left.record_id, right.record_id) for left, right in pairs] == [("a", "b")]
-
-    def test_matches_block_semantics(self, tiny_music_corpus):
-        records = tiny_music_corpus.records
-        blocker = TokenBlocker("name")
-        pairs = blocker.candidate_pairs(records, max_block_size=50)
-        keys = {tuple(sorted((left.record_id, right.record_id))) for left, right in pairs}
-        # Reference: enumerate blocks directly.
-        expected = set()
-        for block in blocker.blocks(records).values():
-            if len(block) > 50:
-                continue
-            for i in range(len(block)):
-                for j in range(i + 1, len(block)):
-                    expected.add(tuple(sorted((block[i].record_id, block[j].record_id))))
-        assert keys == expected
+    def candidate_pairs(self, cross_source_only=False):
+        self.calls += 1
+        return super().candidate_pairs(cross_source_only=cross_source_only)
 
 
 class TestCandidateGeneratorStats:
     @pytest.fixture()
-    def generator(self):
-        return CandidateGenerator([TokenBlocker("name")])
-
-    @pytest.fixture()
-    def records(self):
-        return [
+    def stage(self):
+        stage = CandidateGenerationStage(indexes=[_CountingIndex()])
+        stage.add_records([
             _record("a1", "s1", "neil diamond", entity_id="e1"),
             _record("a2", "s2", "neil diamond", entity_id="e1"),
             _record("b1", "s1", "aretha franklin", entity_id="e2"),
             _record("b2", "s2", "aretha franklin", entity_id="e2"),
             _record("c1", "s1", "completely unrelated", entity_id="e3"),
             _record("c2", "s2", "something else", entity_id="e3"),
-        ]
+        ])
+        return stage
 
-    def test_precomputed_candidates_avoid_regeneration(self, generator, records):
-        candidates = generator.generate(records)
-        stats = generator.stats(records, candidates=candidates)
-        assert stats == generator.stats(records)
-        assert generator.recall(records, candidates=candidates) == stats.recall
-
-    def test_stats_fields(self, generator, records):
-        stats = generator.stats(records)
-        assert isinstance(stats, BlockingStats)
-        # e1 and e2 pairs are found, e3's is not: recall 2/3.
-        assert stats.recall == pytest.approx(2 / 3)
-        assert stats.num_true_pairs == 3
-        assert stats.num_candidates == 2
-        # 3 records per source => 9 cross-source pairs.
-        assert stats.possible_pairs == 9
-        assert stats.reduction_ratio == pytest.approx(2 / 9)
-        assert stats.pair_reduction_factor == pytest.approx(9 / 2)
-
-    def test_recall_keeps_float_contract(self, generator, records):
-        assert isinstance(generator.recall(records), float)
-
-
-class _CountingBlocker(TokenBlocker):
-    """A TokenBlocker that counts how often blocking actually runs."""
-
-    def __init__(self, attribute):
-        super().__init__(attribute)
-        self.calls = 0
-
-    def candidate_pairs(self, records, max_block_size=50):
-        self.calls += 1
-        return super().candidate_pairs(records, max_block_size=max_block_size)
-
-
-class TestCandidateSetBundle:
     @pytest.fixture()
-    def records(self):
-        return [
-            _record("a1", "s1", "neil diamond", entity_id="e1"),
-            _record("a2", "s2", "neil diamond", entity_id="e1"),
-            _record("b1", "s1", "aretha franklin", entity_id="e2"),
-            _record("b2", "s2", "aretha franklin", entity_id="e2"),
-        ]
+    def stats(self, stage):
+        return stage.generate().stats
 
-    def test_generate_returns_candidate_set_sequence(self, records):
-        generator = CandidateGenerator([TokenBlocker("name")])
-        candidates = generator.generate(records)
-        assert isinstance(candidates, CandidateSet)
-        # Sequence contract: len, indexing, iteration over EntityPair.
-        assert len(candidates) == 2
-        assert all(isinstance(pair, EntityPair) for pair in candidates)
-        assert candidates[0] is candidates.pairs[0]
-        assert candidates.keys == {("a1", "a2"), ("b1", "b2")}
+    def test_precomputed_candidates_avoid_regeneration(self, stage):
+        # The quality stats reuse the dedupe keys of the one blocking pass.
+        result = stage.generate()
+        assert stage.indexes[0].calls == 1
+        assert result.stats["num_candidates"] == len(result.pairs)
+        assert result.stats["recall"] == pytest.approx(2 / 3)
 
-    def test_blocking_runs_exactly_once_with_precomputed_bundle(self, records):
-        # The regression: stats()/recall() used to re-derive every pair key
-        # (and, without `candidates=`, re-run blocking) on each call.
-        blocker = _CountingBlocker("name")
-        generator = CandidateGenerator([blocker])
-        candidates = generator.generate(records)
-        assert blocker.calls == 1
-        stats = generator.stats(records, candidates=candidates)
-        recall = generator.recall(records, candidates=candidates)
-        assert blocker.calls == 1  # reporting never re-ran blocking
-        assert recall == stats.recall == 1.0
-        # Without the bundle, blocking legitimately runs one more time.
-        generator.stats(records)
-        assert blocker.calls == 2
+    def test_stats_fields(self, stats):
+        # e1 and e2 pairs are found, e3's is not: recall 2/3.
+        assert stats["recall"] == pytest.approx(2 / 3)
+        assert stats["num_true_pairs"] == 3
+        assert stats["num_candidates"] == 2
+        # 3 records per source => 9 cross-source pairs.
+        assert stats["possible_pairs"] == 9
+        assert stats["reduction_ratio"] == pytest.approx(2 / 9)
+        assert stats["pair_reduction_factor"] == pytest.approx(9 / 2)
 
-    def test_stats_trusts_bundle_keys(self, records):
-        generator = CandidateGenerator([TokenBlocker("name")])
-        candidates = generator.generate(records)
-        # A bundle with an artificially truncated key set: stats must reflect
-        # the bundle's keys, proving it never re-derives them from the pairs.
-        truncated = CandidateSet(candidates.pairs, [("a1", "a2")])
-        stats = generator.stats(records, candidates=truncated)
-        assert stats.num_candidates == 1
-        assert stats.recall == pytest.approx(1 / 2)
-
-    def test_legacy_plain_pair_lists_still_accepted(self, records):
-        generator = CandidateGenerator([TokenBlocker("name")])
-        plain = list(generator.generate(records))
-        stats = generator.stats(records, candidates=plain)
-        assert stats == generator.stats(records)
-        bundle = CandidateSet.from_pairs(plain)
-        assert bundle.keys == {("a1", "a2"), ("b1", "b2")}
+    def test_recall_keeps_float_contract(self, stats):
+        assert isinstance(stats["recall"], float)

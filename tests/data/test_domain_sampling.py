@@ -5,7 +5,6 @@ import pytest
 
 from repro.data import (
     BatchSampler,
-    CandidateGenerator,
     EntityPair,
     MELScenario,
     PairCollection,
@@ -13,7 +12,6 @@ from repro.data import (
     SourceDomain,
     SupportSet,
     TargetDomain,
-    TokenBlocker,
     read_pair_labels_csv,
     read_pairs_jsonl,
     read_records_csv,
@@ -26,6 +24,7 @@ from repro.data import (
     write_pairs_jsonl,
     write_records_csv,
 )
+from repro.pipeline import CandidateGenerationStage, InvertedTokenIndex, record_tokens
 
 
 def _make_pair(i: int, label, source_left="s1", source_right="s2") -> EntityPair:
@@ -189,24 +188,33 @@ class TestSplits:
 
 class TestBlocking:
     def test_token_blocker_groups_shared_tokens(self, tiny_music_corpus):
-        blocker = TokenBlocker("name")
-        blocks = blocker.blocks(tiny_music_corpus.records[:40])
-        assert blocks
-        assert all(len(records) >= 1 for records in blocks.values())
+        # The token index groups records by shared name token: every pair it
+        # emits shares one.
+        records = tiny_music_corpus.records[:40]
+        index = InvertedTokenIndex(attributes=["name"])
+        index.add_records(records)
+        assert index.stats()["tokens"] > 0
+        pairs = index.candidate_pairs()
+        assert pairs
+        for left, right in pairs:
+            assert (set(record_tokens(records[left], ["name"], 3))
+                    & set(record_tokens(records[right], ["name"], 3)))
 
     def test_candidate_generator_recall(self, tiny_music_corpus):
-        generator = CandidateGenerator([TokenBlocker("name"), TokenBlocker("main_performer")])
-        recall = generator.recall(tiny_music_corpus.records)
-        assert recall > 0.5
+        stage = CandidateGenerationStage(attributes=["name", "main_performer"])
+        stage.add_records(tiny_music_corpus.records)
+        assert stage.generate().stats["recall"] > 0.5
 
     def test_candidate_generator_cross_source_only(self, tiny_music_corpus):
-        generator = CandidateGenerator([TokenBlocker("name")], cross_source_only=True)
-        candidates = generator.generate(tiny_music_corpus.records[:60])
+        stage = CandidateGenerationStage(cross_source_only=True)
+        stage.add_records(tiny_music_corpus.records[:60])
+        candidates = stage.generate().pairs
+        assert candidates
         assert all(pair.left.source != pair.right.source for pair in candidates)
 
     def test_candidate_generator_requires_blockers(self):
         with pytest.raises(ValueError):
-            CandidateGenerator([])
+            CandidateGenerationStage(indexes=[])
 
 
 class TestStorage:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.data import TokenBlocker
 from repro.data.records import Record
 from repro.pipeline import (
     CandidateGenerationStage,
@@ -14,6 +13,7 @@ from repro.pipeline import (
     ground_truth_pairs,
     record_tokens,
 )
+from repro.text.tokenizer import tokenize
 
 
 def _record(record_id, source, name, extra=""):
@@ -61,6 +61,34 @@ class TestInvertedTokenIndex:
         index.add_records([_record(f"r{i}", f"s{i}", "common stopword") for i in range(6)])
         assert _id_pairs(index) == set()
         assert index.stats()["overflowed_tokens"] == 2
+
+    def test_degenerate_max_postings_is_rejected(self):
+        # A cap below 2 could never emit a pair; the index refuses it.
+        with pytest.raises(ValueError, match="bucket cap"):
+            InvertedTokenIndex(max_postings=1)
+
+    def test_min_token_length_zero_still_works(self):
+        # 0 means "keep every token" (identical to 1).
+        index = InvertedTokenIndex(attributes=["name"], min_token_length=0)
+        index.add_records([_record("a", "s1", "x y"), _record("b", "s2", "x z")])
+        assert _id_pairs(index) == {("a", "b")}
+
+    def test_matches_block_semantics(self, tiny_music_corpus):
+        records = tiny_music_corpus.records
+        index = InvertedTokenIndex(attributes=["name"], max_postings=50)
+        index.add_records(records)
+        # Reference: group records by token, skip blocks over the cap, and
+        # enumerate each block's pairs directly.
+        blocks = {}
+        for record in records:
+            for token in set(tokenize(record.value("name"))):
+                if len(token) >= 3:
+                    blocks.setdefault(token, []).append(record.record_id)
+        expected = {tuple(sorted((block[i], block[j])))
+                    for block in blocks.values() if len(block) <= 50
+                    for i in range(len(block))
+                    for j in range(i + 1, len(block))}
+        assert _id_pairs(index) == expected
 
     def test_incremental_add_equals_bulk_build(self, tiny_music_corpus):
         records = tiny_music_corpus.records
@@ -201,20 +229,18 @@ class TestIngestOneAndProbe:
         assert index.probe(_record("px", "s9", "diamond")) == set()
 
 
-class TestLSHRecallVsTokenBlocker:
-    def test_index_union_beats_token_blocker_at_equal_budget(self, tiny_music_corpus):
+class TestLSHRecallVsTokenIndex:
+    def test_index_union_beats_single_token_index_at_equal_budget(
+            self, tiny_music_corpus):
         """The index union must dominate single-attribute token blocking:
         at least as much recall from at most as many candidates."""
         records = tiny_music_corpus.records
         truth = ground_truth_pairs(records)
         assert truth
 
-        blocker = TokenBlocker("name")
-        blocker_pairs = {
-            tuple(sorted((left.record_id, right.record_id)))
-            for left, right in blocker.candidate_pairs(records, max_block_size=50)
-            if left.source != right.source
-        }
+        token_index = InvertedTokenIndex(attributes=["name"], max_postings=50)
+        token_index.add_records(records)
+        token_pairs = _id_pairs(token_index, cross_source_only=True)
 
         stage = CandidateGenerationStage()
         stage.add_records(records)
@@ -223,6 +249,6 @@ class TestLSHRecallVsTokenBlocker:
                        for pair in result.pairs}
 
         stage_recall = len(truth & stage_pairs) / len(truth)
-        blocker_recall = len(truth & blocker_pairs) / len(truth)
-        assert stage_recall >= blocker_recall
+        token_recall = len(truth & token_pairs) / len(truth)
+        assert stage_recall >= token_recall
         assert stage_recall >= 0.95

@@ -132,16 +132,9 @@ class TestModuleState:
         with pytest.raises(FaultInjected):
             faults.check("serve.score")
 
-    def test_legacy_crash_env_translates_to_a_kill_spec(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STORAGE_CRASH_POINT", "after_commit")
-        monkeypatch.setenv("REPRO_STORAGE_CRASH_HITS", "7")
-        plan = faults.current_plan()
-        assert plan is not None
-        (spec,) = plan.specs_for("storage.after_commit")
-        assert spec.kind == "kill"
-        assert spec.at_hit == 7
-
     def test_sites_catalog_covers_the_storage_crash_points(self):
-        from repro.storage.crashpoints import CRASH_POINTS
-        for point in CRASH_POINTS:
+        # The six points the kill-at-every-point recovery harness arms.
+        for point in ("before_wal_append", "mid_wal_append", "after_wal_append",
+                      "after_commit", "before_snapshot_rename",
+                      "after_snapshot_rename"):
             assert f"storage.{point}" in faults.SITES

@@ -12,6 +12,7 @@ from repro.pipeline import LinkagePipeline
 from repro.serve import (EntityStore, LinkageService, ServiceConfig, StoreConfig,
                          latency_percentiles, replay_queries, replay_upserts)
 from repro.serve.__main__ import main as serve_main
+from repro.storage.snapshots import SnapshotManager, load_store_snapshot
 
 
 @pytest.fixture(scope="module")
@@ -75,17 +76,36 @@ class TestLinkageService:
         for section in stats.values():
             assert all(isinstance(value, float) for value in section.values())
 
-    def test_serving_a_restored_store(self, predictor, tiny_music_corpus, tmp_path):
+    def test_serving_a_restored_store(self, service, predictor, tiny_music_corpus,
+                                      tmp_path):
         records = tiny_music_corpus.records
-        store = EntityStore(score_fn=predictor.predict_proba)
-        for record in records[:15]:
-            store.upsert(record)
-        snapshot = store.snapshot(tmp_path / "store")
-        restored = EntityStore.restore(snapshot)
-        with LinkageService(predictor, store=restored) as service:
+        replay_upserts(service, records[:15])
+        service.snapshot(tmp_path / "store")
+        _, restored = load_store_snapshot(SnapshotManager(tmp_path / "store"))
+        with LinkageService(predictor, store=restored) as resumed:
             for record in records[15:30]:
-                service.upsert(record)
-            assert len(service.store) == 30
+                resumed.upsert(record)
+            assert len(resumed.store) == 30
+
+    def test_snapshot_without_storage_uses_the_storage_loader(
+            self, service, predictor, tiny_music_corpus, tmp_path):
+        """LinkageService.snapshot(path) writes the snapshot-<lsn>.json file
+        Storage.recover reads; the loaded store equals the live one and is
+        read-only until a scorer is bound."""
+        records = tiny_music_corpus.records
+        replay_upserts(service, records[:20])
+        out = service.snapshot(tmp_path / "snap")
+        assert sorted(p.name for p in out.parent.iterdir()) == \
+            [f"snapshot-{20:016d}.json"]
+        lsn, restored = load_store_snapshot(SnapshotManager(out.parent))
+        assert lsn == 20
+        assert restored.state_dict() == service.store.state_dict()
+        assert restored.clusters() == service.store.clusters()
+        with pytest.raises(RuntimeError, match="score_fn"):
+            restored.upsert(records[20])
+        restored.bind_score_fn(predictor.predict_proba)
+        restored.upsert(records[20])
+        assert len(restored) == 21
 
     def test_existing_store_and_store_config_conflict(self, predictor):
         with pytest.raises(ValueError, match="not both"):

@@ -10,6 +10,8 @@ from repro.data.records import Record
 from repro.infer import BatchedPredictor
 from repro.pipeline import LinkagePipeline
 from repro.serve import EntityStore, StoreConfig
+from repro.storage.snapshots import (SnapshotError, SnapshotManager,
+                                     load_store_snapshot, publish_store_snapshot)
 
 
 @pytest.fixture(scope="module")
@@ -173,20 +175,29 @@ class TestQuery:
             streamed_store.query(probe, top_k=0)
 
 
+def snapshot_round_trip(store, directory, score_fn=None):
+    """Publish ``store`` as a snapshot file under ``directory``, load it back."""
+    manager = SnapshotManager(directory)
+    publish_store_snapshot(manager, store.freeze_state(), lsn=len(store))
+    lsn, restored = load_store_snapshot(manager, score_fn=score_fn)
+    assert lsn == len(store)
+    return restored
+
+
 class TestSnapshotRestore:
     def test_round_trip_is_bit_exact(self, streamed_store, tmp_path):
-        snapshot = streamed_store.snapshot(tmp_path / "store")
-        restored = EntityStore.restore(snapshot)
+        restored = snapshot_round_trip(streamed_store, tmp_path / "store")
         assert restored.clusters() == streamed_store.clusters()
         assert restored.entities() == streamed_store.entities()
         # Internal candidate state is reproduced exactly, not just clusters.
         assert restored._support == streamed_store._support
         assert restored._scores == streamed_store._scores
+        assert restored.state_dict() == streamed_store.state_dict()
 
     def test_restored_store_is_read_only_until_bound(self, streamed_store,
                                                      predictor, tiny_music_corpus,
                                                      tmp_path):
-        restored = EntityStore.restore(streamed_store.snapshot(tmp_path / "store"))
+        restored = snapshot_round_trip(streamed_store, tmp_path / "store")
         probe = tiny_music_corpus.records[0]
         with pytest.raises(RuntimeError, match="score_fn"):
             restored.query(probe)
@@ -200,7 +211,7 @@ class TestSnapshotRestore:
         store = EntityStore(score_fn=predictor.predict_proba)
         for record in records[:half]:
             store.upsert(record)
-        restored = EntityStore.restore(store.snapshot(tmp_path / "half"),
+        restored = snapshot_round_trip(store, tmp_path / "half",
                                        score_fn=predictor.predict_proba)
         for record in records[half:]:
             restored.upsert(record)
@@ -210,12 +221,14 @@ class TestSnapshotRestore:
     def test_unknown_format_version_rejected(self, streamed_store, tmp_path):
         from repro.utils.serialization import load_json, save_json
 
-        snapshot = streamed_store.snapshot(tmp_path / "store")
-        state = load_json(snapshot / "store.json")
-        state["format_version"] = 999
-        save_json(state, snapshot / "store.json")
-        with pytest.raises(ValueError, match="format version"):
-            EntityStore.restore(snapshot)
+        manager = SnapshotManager(tmp_path / "store")
+        path = publish_store_snapshot(manager, streamed_store.freeze_state(),
+                                      lsn=len(streamed_store))
+        envelope = load_json(path)
+        envelope["format_version"] = 999
+        save_json(envelope, path)
+        with pytest.raises(SnapshotError, match="format version"):
+            load_store_snapshot(manager)
 
 
 class TestConfigBridge:

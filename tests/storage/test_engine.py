@@ -8,6 +8,7 @@ import json
 import pytest
 
 import _crash_child as child
+from repro.resilience import FaultInjected, FaultSpec, faults
 from repro.serve.service import LinkageService, ServiceConfig
 from repro.serve.store import EntityStore, StoreConfig
 from repro.storage import (META_FILENAME, STORAGE_FORMAT_VERSION, Storage,
@@ -82,6 +83,21 @@ class TestLifecycle:
         assert storage.wal.last_lsn == 6
         assert len(storage.fsync_latency_samples()) == 6
         storage.close()
+
+    def test_after_commit_fault_skips_ignored_repeats(self, tmp_path, records):
+        # An exact repeat writes no WAL entry, so it is not a commit: a
+        # fault armed at the 2nd commit must fire on records[1].
+        storage = fresh_storage(tmp_path, snapshot_every=None)
+        spec = FaultSpec(site="storage.after_commit", kind="raise", at_hit=2)
+        try:
+            with faults.plan_scope([spec]):
+                storage.upsert(records[0])
+                storage.upsert(records[0])
+                with pytest.raises(FaultInjected):
+                    storage.upsert(records[1])
+            assert storage.wal.last_lsn == 2
+        finally:
+            storage.close()
 
 
 class TestCompaction:

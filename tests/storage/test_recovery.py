@@ -5,7 +5,8 @@ The child (``_crash_child.py``) streams a deterministic shuffled corpus
 through a :class:`repro.storage.Storage` with tight bucket caps (so the
 overflow/retraction machinery is live) and a small snapshot cadence (so
 crashes land before, between, and after compactions).  The parent arms one
-crash point per case, asserts the child died with the crash exit code, then
+``kill`` fault per case at a ``storage.*`` site through ``REPRO_FAULT_PLAN``,
+asserts the child died with ``faults.KILL_EXIT_CODE``, then
 recovers the data directory and checks three things:
 
 * the restored store's ``state_dict()`` — records, scores, support,
@@ -19,6 +20,7 @@ recovers the data directory and checks three things:
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -29,9 +31,8 @@ import pytest
 import _crash_child as child
 from repro.pipeline import LinkagePipeline
 from repro.serve.store import EntityStore
-from repro.storage import CRASH_EXIT_CODE, Storage
-from repro.storage.crashpoints import (CRASH_HITS_ENV, CRASH_POINT_ENV,
-                                       CRASH_POINTS)
+from repro.resilience import FaultSpec, faults
+from repro.storage import Storage
 
 CHILD = Path(child.__file__).resolve()
 
@@ -54,11 +55,10 @@ CASES = [
 
 def run_child(data_dir: Path, point=None, hits=1) -> subprocess.CompletedProcess:
     env = dict(os.environ)
-    env.pop(CRASH_POINT_ENV, None)
-    env.pop(CRASH_HITS_ENV, None)
+    env.pop(faults.FAULT_PLAN_ENV, None)
     if point is not None:
-        env[CRASH_POINT_ENV] = point
-        env[CRASH_HITS_ENV] = str(hits)
+        spec = FaultSpec(site=f"storage.{point}", kind="kill", at_hit=hits)
+        env[faults.FAULT_PLAN_ENV] = json.dumps([spec.as_dict()])
     return subprocess.run([sys.executable, str(CHILD), str(data_dir)],
                          env=env, capture_output=True, text=True)
 
@@ -97,7 +97,11 @@ def batch_clusters(records):
 
 
 def test_case_table_covers_every_crash_point():
-    assert {point for point, _, _ in CASES} == set(CRASH_POINTS)
+    # Every storage site is a crash point except wal_append, which models an
+    # append I/O error (a raise) rather than a process death.
+    crash_sites = {site for site in faults.SITES
+                   if site.startswith("storage.")} - {"storage.wal_append"}
+    assert {f"storage.{point}" for point, _, _ in CASES} == crash_sites
 
 
 @pytest.mark.parametrize("point,hits,expected",
@@ -107,7 +111,7 @@ def test_recovery_is_bit_exact_at_every_crash_point(tmp_path, records,
                                                     point, hits, expected):
     data_dir = tmp_path / "data"
     proc = run_child(data_dir, point=point, hits=hits)
-    assert proc.returncode == CRASH_EXIT_CODE, (proc.stdout, proc.stderr)
+    assert proc.returncode == faults.KILL_EXIT_CODE, (proc.stdout, proc.stderr)
 
     storage = Storage.recover(data_dir, score_fn=child.score_fn,
                               config=child.storage_config())
@@ -151,7 +155,7 @@ def test_double_crash_then_recover(tmp_path, records, reference):
     """A second crash over an already-crashed directory still recovers."""
     data_dir = tmp_path / "data"
     proc = run_child(data_dir, point="after_wal_append", hits=5)
-    assert proc.returncode == CRASH_EXIT_CODE, proc.stderr
+    assert proc.returncode == faults.KILL_EXIT_CODE, proc.stderr
     # Recover and continue a little, then crash again mid-append.
     storage = Storage.recover(data_dir, score_fn=child.score_fn,
                               config=child.storage_config())

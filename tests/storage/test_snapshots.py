@@ -1,10 +1,10 @@
-"""SnapshotManager protocol + the legacy EntityStore snapshot fixes.
+"""SnapshotManager protocol + the store snapshot envelope.
 
-The second half regression-tests the serve-layer satellite work: the legacy
-directory snapshot no longer holds the store lock while serializing (a
-concurrent upsert completes while a snapshot is mid-write), both its files
-are published atomically, and restore tolerates older format versions and
-counter-schema drift.
+The second half covers the one snapshot file format as the serve layer
+writes it (``LinkageService.snapshot(path)``): the store lock is not held
+while the file is written (a concurrent upsert completes while a snapshot
+is mid-write), the file is published atomically, and the shared loader
+rejects a bad envelope but tolerates counter-schema drift.
 """
 
 from __future__ import annotations
@@ -12,14 +12,13 @@ from __future__ import annotations
 import json
 import threading
 
-import numpy as np
 import pytest
 
 import _crash_child as child
-from repro.serve import store as store_module
-from repro.serve.store import (SNAPSHOT_FORMAT_VERSION,
-                               SUPPORTED_SNAPSHOT_VERSIONS, EntityStore)
-from repro.storage.snapshots import SnapshotManager
+from repro.serve.service import LinkageService
+from repro.serve.store import EntityStore
+from repro.storage.snapshots import (STORAGE_FORMAT_VERSION, SnapshotError,
+                                     SnapshotManager, load_store_snapshot)
 
 
 class TestSnapshotManager:
@@ -82,31 +81,37 @@ def streamed_store(tiny_music_corpus):
     return store
 
 
+@pytest.fixture()
+def service(streamed_store):
+    with LinkageService(child.HashPredictor(), store=streamed_store) as running:
+        yield running
+
+
 class TestLegacySnapshotLocking:
     def test_concurrent_upsert_completes_while_snapshot_is_mid_write(
-            self, streamed_store, tiny_music_corpus, tmp_path, monkeypatch):
-        """Serialization happens outside the store lock: park the snapshot
+            self, service, tiny_music_corpus, tmp_path, monkeypatch):
+        """The file is written outside the store lock: park the snapshot
         thread inside its file-writing phase and prove an upsert still
         goes through before the snapshot finishes."""
         mid_write = threading.Event()
         release = threading.Event()
-        real_save_json = store_module.save_json
+        real_take = SnapshotManager.take
 
-        def parked_save_json(payload, path):
+        def parked_take(manager, payload, lsn):
             mid_write.set()
             assert release.wait(timeout=10.0)
-            return real_save_json(payload, path)
+            return real_take(manager, payload, lsn)
 
-        monkeypatch.setattr(store_module, "save_json", parked_save_json)
+        monkeypatch.setattr(SnapshotManager, "take", parked_take)
         snapshotter = threading.Thread(
-            target=streamed_store.snapshot, args=(tmp_path / "snap",))
+            target=service.snapshot, args=(tmp_path / "snap",))
         snapshotter.start()
         try:
             assert mid_write.wait(timeout=10.0)
             upserted = threading.Event()
 
             def upsert():
-                streamed_store.upsert(tiny_music_corpus.records[20])
+                service.upsert(tiny_music_corpus.records[20])
                 upserted.set()
 
             writer = threading.Thread(target=upsert)
@@ -118,49 +123,51 @@ class TestLegacySnapshotLocking:
             release.set()
             snapshotter.join(timeout=10.0)
         # The snapshot captured the pre-upsert state it froze under the lock.
-        restored = EntityStore.restore(tmp_path / "snap")
-        assert len(restored) == 20
-        assert len(streamed_store) == 21
+        lsn, restored = load_store_snapshot(SnapshotManager(tmp_path / "snap"))
+        assert lsn == len(restored) == 20
+        assert len(service.store) == 21
 
-    def test_snapshot_publishes_atomically(self, streamed_store, tmp_path):
-        out = streamed_store.snapshot(tmp_path / "snap")
-        assert sorted(p.name for p in out.iterdir()) == \
-            ["records.jsonl", "store.json"]  # no .tmp leftovers
-        state = json.loads((out / "store.json").read_text(encoding="utf-8"))
-        assert state["format_version"] == SNAPSHOT_FORMAT_VERSION
+    def test_snapshot_publishes_atomically(self, service, tmp_path):
+        out = service.snapshot(tmp_path / "snap")
+        assert sorted(p.name for p in out.parent.iterdir()) == \
+            [f"snapshot-{20:016d}.json"]  # no .tmp leftovers
+        envelope = json.loads(out.read_text(encoding="utf-8"))
+        assert envelope["format_version"] == STORAGE_FORMAT_VERSION
+        assert envelope["lsn"] == 20
 
 
 class TestLegacyRestoreTolerance:
-    def rewrite_state(self, path, mutate):
-        store_json = path / "store.json"
-        state = json.loads(store_json.read_text(encoding="utf-8"))
-        mutate(state)
-        store_json.write_text(json.dumps(state), encoding="utf-8")
+    def rewrite_envelope(self, path, mutate):
+        envelope = json.loads(path.read_text(encoding="utf-8"))
+        mutate(envelope)
+        path.write_text(json.dumps(envelope), encoding="utf-8")
 
-    def test_older_format_version_still_loads(self, streamed_store, tmp_path):
-        out = streamed_store.snapshot(tmp_path / "snap")
-        assert 1 in SUPPORTED_SNAPSHOT_VERSIONS
-        self.rewrite_state(out, lambda s: s.update(format_version=1))
-        restored = EntityStore.restore(out, score_fn=child.score_fn)
+    def test_unknown_format_version_is_rejected(self, service, tmp_path):
+        out = service.snapshot(tmp_path / "snap")
+        self.rewrite_envelope(out, lambda e: e.update(format_version=99))
+        with pytest.raises(SnapshotError, match="format version"):
+            load_store_snapshot(SnapshotManager(out.parent))
+
+    def test_lsn_differing_from_the_file_name_is_rejected(self, service,
+                                                          tmp_path):
+        out = service.snapshot(tmp_path / "snap")
+        self.rewrite_envelope(out, lambda e: e.update(lsn=7))
+        with pytest.raises(SnapshotError, match="lsn"):
+            load_store_snapshot(SnapshotManager(out.parent))
+
+    def test_counter_schema_drift_is_tolerated(self, service, streamed_store,
+                                               tmp_path):
+        out = service.snapshot(tmp_path / "snap")
+
+        def drift(envelope):
+            counters = envelope["store"]["counters"]
+            counters.pop("pairs_scored")       # older snapshot
+            counters["counter_from_the_future"] = 7
+
+        self.rewrite_envelope(out, drift)
+        _, restored = load_store_snapshot(SnapshotManager(out.parent))
         assert restored.clusters() == streamed_store.clusters()
-
-    def test_unknown_format_version_is_rejected(self, streamed_store, tmp_path):
-        out = streamed_store.snapshot(tmp_path / "snap")
-        self.rewrite_state(out, lambda s: s.update(format_version=99))
-        with pytest.raises(ValueError, match="format version"):
-            EntityStore.restore(out)
-
-    def test_counter_schema_drift_is_tolerated(self, streamed_store, tmp_path):
-        out = streamed_store.snapshot(tmp_path / "snap")
-
-        def drift(state):
-            state["counters"].pop("pairs_scored")       # older snapshot
-            state["counters"]["counter_from_the_future"] = 7
-
-        self.rewrite_state(out, drift)
-        restored = EntityStore.restore(out)
-        assert restored.clusters() == streamed_store.clusters()
-        # The missing key keeps its replayed value; the unknown key is dropped.
-        assert restored.counters.pairs_scored == \
-            streamed_store.counters.pairs_scored
+        # The missing key falls back to zero; the unknown key is dropped.
+        assert restored.counters.pairs_scored == 0
+        assert restored.counters.upserts == streamed_store.counters.upserts
         assert not hasattr(restored.counters, "counter_from_the_future")
